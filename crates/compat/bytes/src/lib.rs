@@ -11,52 +11,101 @@
 #![forbid(unsafe_code)]
 
 use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::fmt;
-use std::ops::Deref;
+use std::hash::{Hash, Hasher};
+use std::ops::{Bound, Deref, RangeBounds};
 use std::sync::Arc;
 
 /// A cheaply clonable, immutable, contiguous slice of memory.
-#[derive(Clone, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
+///
+/// Clones and [`Bytes::slice`] share one reference-counted buffer, and
+/// `From<Vec<u8>>` adopts the vector without copying, as in the real
+/// crate. Offsets are stored as `u32` to keep the handle at 16 bytes:
+/// one `Bytes` views at most 4 GiB.
+#[derive(Clone)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
+    start: u32,
+    len: u32,
+}
+
+fn to_u32(n: usize) -> u32 {
+    u32::try_from(n).expect("Bytes views at most 4 GiB")
 }
 
 impl Bytes {
     /// Creates an empty `Bytes`.
     #[must_use]
     pub fn new() -> Self {
-        Self::default()
+        Self::from(Vec::new())
     }
 
     /// Creates `Bytes` from a static slice (copies once; the real crate
     /// borrows, but callers only rely on the value semantics).
     #[must_use]
     pub fn from_static(data: &'static [u8]) -> Self {
-        Self { data: data.into() }
+        Self::copy_from_slice(data)
     }
 
     /// Copies `data` into a new `Bytes`.
     #[must_use]
     pub fn copy_from_slice(data: &[u8]) -> Self {
-        Self { data: data.into() }
+        Self::from(data.to_vec())
     }
 
     /// Length in bytes.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.data.len()
+        self.len as usize
     }
 
     /// Whether the buffer is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.len == 0
     }
 
     /// Copies the contents into a fresh `Vec<u8>`.
     #[must_use]
     pub fn to_vec(&self) -> Vec<u8> {
-        self.data.to_vec()
+        self.as_ref().to_vec()
+    }
+
+    /// Returns a `Bytes` viewing `range` of `self`, sharing the buffer
+    /// (no copy).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is out of bounds or decreasing.
+    #[must_use]
+    pub fn slice(&self, range: impl RangeBounds<usize>) -> Self {
+        let begin = match range.start_bound() {
+            Bound::Included(&n) => n,
+            Bound::Excluded(&n) => n + 1,
+            Bound::Unbounded => 0,
+        };
+        let end = match range.end_bound() {
+            Bound::Included(&n) => n + 1,
+            Bound::Excluded(&n) => n,
+            Bound::Unbounded => self.len(),
+        };
+        assert!(
+            begin <= end && end <= self.len(),
+            "range {begin}..{end} out of bounds for Bytes of length {}",
+            self.len()
+        );
+        Self {
+            data: Arc::clone(&self.data),
+            start: self.start + to_u32(begin),
+            len: to_u32(end - begin),
+        }
+    }
+}
+
+impl Default for Bytes {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -64,26 +113,53 @@ impl Deref for Bytes {
     type Target = [u8];
 
     fn deref(&self) -> &[u8] {
-        &self.data
+        let start = self.start as usize;
+        &self.data[start..start + self.len as usize]
     }
 }
 
 impl AsRef<[u8]> for Bytes {
     fn as_ref(&self) -> &[u8] {
-        &self.data
+        self
     }
 }
 
 impl Borrow<[u8]> for Bytes {
     fn borrow(&self) -> &[u8] {
-        &self.data
+        self
+    }
+}
+
+impl PartialEq for Bytes {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_ref() == other.as_ref()
+    }
+}
+
+impl Eq for Bytes {}
+
+impl PartialOrd for Bytes {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Bytes {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.as_ref().cmp(other.as_ref())
+    }
+}
+
+impl Hash for Bytes {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_ref().hash(state);
     }
 }
 
 impl fmt::Debug for Bytes {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "b\"")?;
-        for &b in self.data.iter() {
+        for &b in self.iter() {
             for esc in std::ascii::escape_default(b) {
                 write!(f, "{}", esc as char)?;
             }
@@ -94,7 +170,12 @@ impl fmt::Debug for Bytes {
 
 impl From<Vec<u8>> for Bytes {
     fn from(data: Vec<u8>) -> Self {
-        Self { data: data.into() }
+        let len = to_u32(data.len());
+        Self {
+            data: Arc::new(data),
+            start: 0,
+            len,
+        }
     }
 }
 
@@ -350,6 +431,33 @@ mod tests {
         assert_eq!(Bytes::from_static(b"xy").as_ref(), b"xy");
         assert_eq!(Bytes::copy_from_slice(&[9]).as_ref(), &[9]);
         assert_eq!(Bytes::from(String::from("hi")).as_ref(), b"hi");
+    }
+
+    #[test]
+    fn slices_share_the_buffer_and_compare_by_content() {
+        let whole = Bytes::from(b"hello world".to_vec());
+        let hello = whole.slice(..5);
+        let world = whole.slice(6..);
+        assert_eq!(hello.as_ref(), b"hello");
+        assert_eq!(world.as_ref(), b"world");
+        assert_eq!(world.slice(1..=2).as_ref(), b"or");
+        assert!(whole.slice(3..3).is_empty());
+        assert!(hello < world);
+        assert_eq!(hello, Bytes::from_static(b"hello"));
+        assert_eq!(format!("{world:?}"), "b\"world\"");
+        let hash = |b: &Bytes| {
+            use std::hash::{DefaultHasher, Hash, Hasher};
+            let mut h = DefaultHasher::new();
+            b.hash(&mut h);
+            h.finish()
+        };
+        assert_eq!(hash(&hello), hash(&Bytes::copy_from_slice(b"hello")));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn slice_past_the_end_panics() {
+        let _ = Bytes::from(vec![1, 2, 3]).slice(2..4);
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! block to its offset, so point lookups binary-search the index and
 //! decode a single block.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use std::ops::Range;
+
+use bytes::{BufMut, Bytes};
 
 use crate::types::{Entry, ValueKind};
 use crate::Error;
@@ -14,10 +16,10 @@ use crate::Error;
 /// Incrementally builds one encoded data block from sorted entries.
 #[derive(Debug, Default)]
 pub struct BlockBuilder {
-    buf: BytesMut,
+    buf: Vec<u8>,
     count: u32,
-    first_key: Option<Bytes>,
-    last_key: Option<Bytes>,
+    /// Where the last added key sits inside `buf`.
+    last_key: Range<usize>,
 }
 
 impl BlockBuilder {
@@ -30,12 +32,10 @@ impl BlockBuilder {
     /// Appends an entry. Entries must be appended in internal-key order;
     /// the builder does not reorder them.
     pub fn add(&mut self, entry: &Entry) {
-        if self.first_key.is_none() {
-            self.first_key = Some(entry.key.clone());
-        }
-        self.last_key = Some(entry.key.clone());
         self.buf.put_u32_le(entry.key.len() as u32);
+        let key_start = self.buf.len();
         self.buf.put_slice(&entry.key);
+        self.last_key = key_start..self.buf.len();
         self.buf.put_u32_le(entry.value.len() as u32);
         self.buf.put_slice(&entry.value);
         self.buf.put_u64_le(entry.seqno);
@@ -63,34 +63,39 @@ impl BlockBuilder {
 
     /// First key added to the block, if any.
     #[must_use]
-    pub fn first_key(&self) -> Option<&Bytes> {
-        self.first_key.as_ref()
+    pub fn first_key(&self) -> Option<&[u8]> {
+        let len = u32::from_le_bytes(self.buf.get(..4)?.try_into().expect("4 bytes")) as usize;
+        Some(&self.buf[4..4 + len])
     }
 
     /// Last key added to the block, if any.
     #[must_use]
-    pub fn last_key(&self) -> Option<&Bytes> {
-        self.last_key.as_ref()
+    pub fn last_key(&self) -> Option<&[u8]> {
+        (!self.is_empty()).then(|| &self.buf[self.last_key.clone()])
     }
 
     /// Finishes the block: appends the entry count and CRC32 trailer and
     /// returns the encoded bytes, resetting the builder for reuse.
     #[must_use]
     pub fn finish(&mut self) -> Bytes {
-        let mut out = BytesMut::with_capacity(self.buf.len() + 8);
-        out.put_slice(&self.buf);
-        out.put_u32_le(self.count);
-        let crc = crc32(&out);
-        out.put_u32_le(crc);
+        self.finish_with(Bytes::copy_from_slice)
+    }
+
+    /// [`BlockBuilder::finish`] that lends the encoded block to `f`
+    /// instead of copying it out, so the builder's buffer is reused.
+    pub(crate) fn finish_with<R>(&mut self, f: impl FnOnce(&[u8]) -> R) -> R {
+        self.buf.put_u32_le(self.count);
+        let crc = crc32(&self.buf);
+        self.buf.put_u32_le(crc);
+        let out = f(&self.buf);
         self.buf.clear();
         self.count = 0;
-        self.first_key = None;
-        self.last_key = None;
-        out.freeze()
+        out
     }
 }
 
-/// A decoded, immutable data block.
+/// A decoded, immutable data block. Its entries' keys and values are
+/// slices of the block's logical bytes, not copies.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Block {
     entries: Vec<Entry>,
@@ -98,13 +103,13 @@ pub struct Block {
 
 impl Block {
     /// Decodes a block produced by [`BlockBuilder::finish`], verifying its
-    /// checksum.
+    /// checksum. Keys and values share `data`'s buffer.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Corruption`] if the trailer is missing, the CRC
     /// does not match, or a record is truncated.
-    pub fn decode(data: &[u8]) -> Result<Self, Error> {
+    pub fn decode(data: &Bytes) -> Result<Self, Error> {
         if data.len() < 8 {
             return Err(Error::corruption("block shorter than trailer"));
         }
@@ -116,32 +121,31 @@ impl Block {
         let (payload, count_bytes) = payload_and_count.split_at(payload_and_count.len() - 4);
         let count = u32::from_le_bytes(count_bytes.try_into().expect("split at 4"));
 
+        // Claims the next `n` payload bytes, or reports `what`.
+        let mut pos = 0usize;
+        let mut take = |n: usize, what: &'static str| -> Result<Range<usize>, Error> {
+            if payload.len() - pos < n {
+                return Err(Error::corruption(what));
+            }
+            pos += n;
+            Ok(pos - n..pos)
+        };
+        let u32_at =
+            |at: Range<usize>| u32::from_le_bytes(payload[at].try_into().expect("4 bytes"));
+
         let mut entries = Vec::with_capacity(count as usize);
-        let mut cursor = payload;
         for _ in 0..count {
-            if cursor.remaining() < 4 {
-                return Err(Error::corruption("truncated key length"));
-            }
-            let klen = cursor.get_u32_le() as usize;
-            if cursor.remaining() < klen {
-                return Err(Error::corruption("truncated key"));
-            }
-            let key = Bytes::copy_from_slice(&cursor[..klen]);
-            cursor.advance(klen);
-            if cursor.remaining() < 4 {
-                return Err(Error::corruption("truncated value length"));
-            }
-            let vlen = cursor.get_u32_le() as usize;
-            if cursor.remaining() < vlen {
-                return Err(Error::corruption("truncated value"));
-            }
-            let value = Bytes::copy_from_slice(&cursor[..vlen]);
-            cursor.advance(vlen);
-            if cursor.remaining() < 9 {
-                return Err(Error::corruption("truncated entry metadata"));
-            }
-            let seqno = cursor.get_u64_le();
-            let kind = ValueKind::from_u8(cursor.get_u8())
+            let klen = u32_at(take(4, "truncated key length")?) as usize;
+            let key = data.slice(take(klen, "truncated key")?);
+            let vlen = u32_at(take(4, "truncated value length")?) as usize;
+            let value = data.slice(take(vlen, "truncated value")?);
+            let meta = take(9, "truncated entry metadata")?;
+            let seqno = u64::from_le_bytes(
+                payload[meta.start..meta.start + 8]
+                    .try_into()
+                    .expect("8 bytes"),
+            );
+            let kind = ValueKind::from_u8(payload[meta.start + 8])
                 .ok_or_else(|| Error::corruption("unknown value kind tag"))?;
             entries.push(Entry {
                 key,
@@ -150,7 +154,7 @@ impl Block {
                 kind,
             });
         }
-        if cursor.has_remaining() {
+        if pos != payload.len() {
             return Err(Error::corruption("trailing bytes after last entry"));
         }
         Ok(Self { entries })
@@ -175,7 +179,7 @@ impl Block {
     }
 
     /// Approximate resident size of the decoded block: the struct, its
-    /// entry vector, and the key/value bytes the entries own. The
+    /// entry vector, and the key/value bytes the entries view. The
     /// block cache charges this — it stores *decoded* blocks, so
     /// charging encoded (possibly compressed) length would understate
     /// RAM by the compression ratio.
@@ -220,16 +224,60 @@ impl Block {
     }
 }
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected) computed bytewise.
+/// Slice-by-8 lookup tables for the reflected IEEE 802.3 polynomial,
+/// built at compile time: `CRC_TABLES[0]` is the classic bytewise table
+/// and `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero
+/// bytes, so eight table lookups consume eight input bytes at once.
+const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        tables[0][i] = crc;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
+/// CRC-32 (IEEE 802.3 polynomial, reflected), table-driven slice-by-8.
+/// Every block, envelope, WAL frame, manifest and sidecar checksum uses
+/// it; the value is the standard CRC-32, bit for bit.
 #[must_use]
 pub(crate) fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &byte in data {
-        crc ^= u32::from(byte);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+    let mut chunks = data.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &byte in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(byte)) & 0xFF) as usize];
     }
     !crc
 }
@@ -258,6 +306,48 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
+    /// The bit-at-a-time CRC-32 the table-driven one must reproduce.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &byte in data {
+            crc ^= u32::from(byte);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn crc32_matches_bitwise_oracle(
+            len in 0usize..=4_099,
+            seed in proptest::prelude::any::<u64>(),
+            offset in 0usize..8,
+            trim in 0usize..8,
+        ) {
+            let mut state = seed;
+            let data: Vec<u8> = (0..len)
+                .map(|_| {
+                    state = state
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(1_442_695_040_888_963_407);
+                    (state >> 33) as u8
+                })
+                .collect();
+            proptest::prop_assert_eq!(crc32(&data), crc32_bitwise(&data));
+            // Unaligned sub-slices exercise every remainder length and
+            // every start alignment of the 8-byte loop.
+            let start = offset.min(len);
+            let end = len.saturating_sub(trim).max(start);
+            let sub = &data[start..end];
+            proptest::prop_assert_eq!(crc32(sub), crc32_bitwise(sub), "sub-slice {}..{}", start, end);
+        }
+    }
+
     #[test]
     fn build_and_decode_roundtrip() {
         let entries = sample_entries(100);
@@ -267,8 +357,8 @@ mod tests {
         }
         assert_eq!(builder.len(), 100);
         assert!(!builder.is_empty());
-        assert_eq!(builder.first_key().unwrap(), &key_from_u64(0));
-        assert_eq!(builder.last_key().unwrap(), &key_from_u64(99));
+        assert_eq!(builder.first_key().unwrap(), key_from_u64(0).as_ref());
+        assert_eq!(builder.last_key().unwrap(), key_from_u64(99).as_ref());
         let encoded = builder.finish();
         assert!(builder.is_empty(), "finish resets the builder");
 
@@ -288,11 +378,11 @@ mod tests {
         let mut tampered = encoded.to_vec();
         tampered[3] ^= 0xFF;
         assert!(matches!(
-            Block::decode(&tampered),
+            Block::decode(&Bytes::from(tampered)),
             Err(Error::Corruption { .. })
         ));
-        assert!(Block::decode(&encoded[..4]).is_err());
-        assert!(Block::decode(&[]).is_err());
+        assert!(Block::decode(&encoded.slice(..4)).is_err());
+        assert!(Block::decode(&Bytes::new()).is_err());
     }
 
     #[test]

@@ -27,8 +27,14 @@ impl BloomFilter {
         I: IntoIterator<Item = &'a [u8]>,
         I::IntoIter: ExactSizeIterator,
     {
-        let keys = keys.into_iter();
-        let n = keys.len();
+        let hashes: Vec<u64> = keys.into_iter().map(key_hash).collect();
+        Self::from_key_hashes(&hashes, bits_per_key)
+    }
+
+    /// [`BloomFilter::build`] over keys already reduced by [`key_hash`]
+    /// — what the sstable builder keeps instead of the keys themselves.
+    pub(crate) fn from_key_hashes(hashes: &[u64], bits_per_key: usize) -> Self {
+        let n = hashes.len();
         if n == 0 || bits_per_key == 0 {
             return Self {
                 bits: Vec::new(),
@@ -40,8 +46,8 @@ impl BloomFilter {
         let nbits = (n * bits_per_key).max(64);
         let nbytes = nbits.div_ceil(8);
         let mut bits = vec![0u8; nbytes];
-        for key in keys {
-            let (h1, h2) = hash_pair(key);
+        for &hash in hashes {
+            let (h1, h2) = probe_pair(hash);
             let mut h = h1;
             for _ in 0..num_hashes {
                 let bit = (h % (nbytes as u64 * 8)) as usize;
@@ -60,7 +66,7 @@ impl BloomFilter {
             return true;
         }
         let nbits = self.bits.len() as u64 * 8;
-        let (h1, h2) = hash_pair(key);
+        let (h1, h2) = probe_pair(key_hash(key));
         let mut h = h1;
         for _ in 0..self.num_hashes {
             let bit = (h % nbits) as usize;
@@ -105,9 +111,14 @@ impl BloomFilter {
     }
 }
 
-/// Two independent 64-bit hashes of `key` for double hashing.
-fn hash_pair(key: &[u8]) -> (u64, u64) {
-    let h1 = hll::hash_bytes(key);
+/// The 64-bit hash of `key` every probe position derives from.
+pub(crate) fn key_hash(key: &[u8]) -> u64 {
+    hll::hash_bytes(key)
+}
+
+/// Two independent 64-bit hashes for double hashing, from a
+/// [`key_hash`].
+fn probe_pair(h1: u64) -> (u64, u64) {
     let h2 = hll::hash_u64(h1 ^ 0x5851_F42D_4C95_7F2D) | 1;
     (h1, h2)
 }

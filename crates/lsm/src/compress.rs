@@ -37,7 +37,9 @@
 //!   Distances shorter than the copy length overlap, giving RLE for
 //!   free.
 
-use std::borrow::Cow;
+use std::cell::RefCell;
+
+use bytes::Bytes;
 
 use crate::block::crc32;
 use crate::Error;
@@ -86,33 +88,33 @@ const HASH_BITS: u32 = 13;
 /// rotten length prefix from driving a giant allocation.
 const MAX_LOGICAL_LEN: usize = 1 << 30;
 
-/// Wraps one logical data block in the v3 envelope, compressing the
-/// payload per `ty` (with per-block fallback to raw when compression
-/// does not shrink the bytes).
-pub(crate) fn encode_block_envelope(ty: CompressionType, logical: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(logical.len() + ENVELOPE_OVERHEAD);
+/// Wraps one logical data block in the v3 envelope and appends it to
+/// `out`, compressing the payload per `ty` (with per-block fallback to
+/// raw when compression does not shrink the bytes).
+pub(crate) fn encode_block_envelope(ty: CompressionType, logical: &[u8], out: &mut Vec<u8>) {
+    let start = out.len();
+    out.reserve(logical.len() + ENVELOPE_OVERHEAD);
     match ty {
         CompressionType::None => {
             out.push(TAG_NONE);
             out.extend_from_slice(logical);
         }
         CompressionType::Lz => {
-            let stream = lz_compress(logical);
+            out.push(TAG_LZ);
+            out.extend_from_slice(&(logical.len() as u32).to_le_bytes());
+            let stream_start = out.len();
+            lz_compress(logical, out);
             // Only keep the compressed form when it pays for its own
             // length prefix; otherwise store raw under tag None.
-            if stream.len() + 4 < logical.len() {
-                out.push(TAG_LZ);
-                out.extend_from_slice(&(logical.len() as u32).to_le_bytes());
-                out.extend_from_slice(&stream);
-            } else {
+            if out.len() - stream_start + 4 >= logical.len() {
+                out.truncate(start);
                 out.push(TAG_NONE);
                 out.extend_from_slice(logical);
             }
         }
     }
-    let crc = crc32(&out);
+    let crc = crc32(&out[start..]);
     out.extend_from_slice(&crc.to_le_bytes());
-    out
 }
 
 /// Unwraps a v3 block envelope back to the logical block bytes.
@@ -120,7 +122,7 @@ pub(crate) fn encode_block_envelope(ty: CompressionType, logical: &[u8]) -> Vec<
 /// The envelope CRC is checked before anything else is trusted; an
 /// unknown tag, bad stream, or logical-length mismatch is
 /// [`Error::Corruption`].
-pub(crate) fn decode_block_envelope(raw: &[u8]) -> Result<Cow<'_, [u8]>, Error> {
+pub(crate) fn decode_block_envelope(raw: &Bytes) -> Result<Bytes, Error> {
     if raw.len() < ENVELOPE_OVERHEAD {
         return Err(Error::corruption("block envelope shorter than framing"));
     }
@@ -131,7 +133,7 @@ pub(crate) fn decode_block_envelope(raw: &[u8]) -> Result<Cow<'_, [u8]>, Error> 
     }
     let (tag, payload) = (body[0], &body[1..]);
     match tag {
-        TAG_NONE => Ok(Cow::Borrowed(payload)),
+        TAG_NONE => Ok(raw.slice(1..body.len())),
         TAG_LZ => {
             if payload.len() < 4 {
                 return Err(Error::corruption("compressed block missing length prefix"));
@@ -143,48 +145,77 @@ pub(crate) fn decode_block_envelope(raw: &[u8]) -> Result<Cow<'_, [u8]>, Error> 
                     "compressed block logical length implausible",
                 ));
             }
-            Ok(Cow::Owned(lz_decompress(&payload[4..], logical_len)?))
+            Ok(Bytes::from(lz_decompress(&payload[4..], logical_len)?))
         }
         _ => Err(Error::corruption("unknown block compression tag")),
     }
 }
 
-fn hash4(bytes: &[u8]) -> usize {
-    let v = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+fn load_u32(bytes: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"))
+}
+
+fn hash4(v: u32) -> usize {
     (v.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
 }
 
-/// Compresses `input` into an LZ stream (no framing; the caller adds
-/// the logical-length prefix and envelope CRC).
-pub(crate) fn lz_compress(input: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(input.len() / 2 + 16);
-    let mut table = vec![usize::MAX; 1 << HASH_BITS];
-    let mut literal_start = 0usize;
-    let mut i = 0usize;
-    while i + MIN_MATCH <= input.len() {
-        let h = hash4(&input[i..]);
-        let candidate = table[h];
-        table[h] = i;
-        if candidate != usize::MAX
-            && i - candidate <= MAX_DISTANCE
-            && input[candidate..candidate + MIN_MATCH] == input[i..i + MIN_MATCH]
-        {
-            let limit = (input.len() - i).min(MAX_MATCH);
-            let mut len = MIN_MATCH;
-            while len < limit && input[candidate + len] == input[i + len] {
-                len += 1;
-            }
-            flush_literals(&mut out, &input[literal_start..i]);
-            out.push(0x80 | (len - MIN_MATCH) as u8);
-            out.extend_from_slice(&((i - candidate) as u16).to_le_bytes());
-            i += len;
-            literal_start = i;
-        } else {
-            i += 1;
+/// Length of the common run of `input[candidate..]` and `input[i..]`,
+/// given that the first [`MIN_MATCH`] bytes already agree, capped at
+/// `limit`; compares eight bytes per step.
+fn match_len(input: &[u8], candidate: usize, i: usize, limit: usize) -> usize {
+    let mut len = MIN_MATCH;
+    while len + 8 <= limit {
+        let a = u64::from_le_bytes(input[candidate + len..][..8].try_into().expect("8 bytes"));
+        let b = u64::from_le_bytes(input[i + len..][..8].try_into().expect("8 bytes"));
+        if a != b {
+            return len + ((a ^ b).trailing_zeros() / 8) as usize;
         }
+        len += 8;
     }
-    flush_literals(&mut out, &input[literal_start..]);
-    out
+    while len < limit && input[candidate + len] == input[i + len] {
+        len += 1;
+    }
+    len
+}
+
+thread_local! {
+    /// The matcher's hash table (last position seen per 4-byte hash),
+    /// reused across blocks: each call resets it rather than
+    /// allocating a fresh one.
+    static LZ_TABLE: RefCell<Vec<u32>> = RefCell::new(vec![u32::MAX; 1 << HASH_BITS]);
+}
+
+/// Compresses `input` into an LZ stream appended to `out` (no framing;
+/// the caller adds the logical-length prefix and envelope CRC).
+pub(crate) fn lz_compress(input: &[u8], out: &mut Vec<u8>) {
+    LZ_TABLE.with_borrow_mut(|table| {
+        table.fill(u32::MAX);
+        let mut literal_start = 0usize;
+        let mut i = 0usize;
+        while i + MIN_MATCH <= input.len() {
+            let current = load_u32(input, i);
+            let h = hash4(current);
+            let candidate = table[h];
+            // Positions fit in u32: logical blocks are capped far below
+            // 4 GiB (`MAX_LOGICAL_LEN`).
+            table[h] = i as u32;
+            if candidate != u32::MAX
+                && i - candidate as usize <= MAX_DISTANCE
+                && load_u32(input, candidate as usize) == current
+            {
+                let candidate = candidate as usize;
+                let len = match_len(input, candidate, i, (input.len() - i).min(MAX_MATCH));
+                flush_literals(out, &input[literal_start..i]);
+                out.push(0x80 | (len - MIN_MATCH) as u8);
+                out.extend_from_slice(&((i - candidate) as u16).to_le_bytes());
+                i += len;
+                literal_start = i;
+            } else {
+                i += 1;
+            }
+        }
+        flush_literals(out, &input[literal_start..]);
+    });
 }
 
 fn flush_literals(out: &mut Vec<u8>, mut literals: &[u8]) {
@@ -222,11 +253,15 @@ pub(crate) fn lz_decompress(stream: &[u8], logical_len: usize) -> Result<Vec<u8>
                 return Err(Error::corruption("lz match distance out of range"));
             }
             let start = out.len() - distance;
-            // Byte-by-byte: distances shorter than the copy length
-            // overlap the bytes this loop has just appended.
-            for j in 0..len {
-                let byte = out[start + j];
-                out.push(byte);
+            if distance >= len {
+                out.extend_from_within(start..start + len);
+            } else {
+                // Byte-by-byte: distances shorter than the copy length
+                // overlap the bytes this loop has just appended.
+                for j in 0..len {
+                    let byte = out[start + j];
+                    out.push(byte);
+                }
             }
         }
         if out.len() > logical_len {
@@ -243,8 +278,20 @@ pub(crate) fn lz_decompress(stream: &[u8], logical_len: usize) -> Result<Vec<u8>
 mod tests {
     use super::*;
 
+    fn compress(input: &[u8]) -> Vec<u8> {
+        let mut stream = Vec::new();
+        lz_compress(input, &mut stream);
+        stream
+    }
+
+    fn envelope(ty: CompressionType, logical: &[u8]) -> Bytes {
+        let mut out = Vec::new();
+        encode_block_envelope(ty, logical, &mut out);
+        Bytes::from(out)
+    }
+
     fn roundtrip(input: &[u8]) {
-        let stream = lz_compress(input);
+        let stream = compress(input);
         let back = lz_decompress(&stream, input.len()).unwrap();
         assert_eq!(back, input, "lz roundtrip of {} bytes", input.len());
     }
@@ -285,7 +332,7 @@ mod tests {
         let payload: Vec<u8> = (0..500u32)
             .flat_map(|i| format!("key-{:06}=value-{:06};", i, i).into_bytes())
             .collect();
-        let stream = lz_compress(&payload);
+        let stream = compress(&payload);
         assert!(
             stream.len() * 2 < payload.len(),
             "structured payload must compress at least 2x: {} -> {}",
@@ -300,11 +347,11 @@ mod tests {
             .flat_map(|i| format!("entry-{i:04}").into_bytes())
             .collect();
         for ty in [CompressionType::None, CompressionType::Lz] {
-            let raw = encode_block_envelope(ty, &logical);
+            let raw = envelope(ty, &logical);
             let back = decode_block_envelope(&raw).unwrap();
             assert_eq!(back.as_ref(), logical.as_slice(), "{ty:?}");
         }
-        let lz = encode_block_envelope(CompressionType::Lz, &logical);
+        let lz = envelope(CompressionType::Lz, &logical);
         assert!(
             lz.len() < logical.len(),
             "compressible payload must shrink: {} -> {}",
@@ -324,7 +371,7 @@ mod tests {
                 (state >> 33) as u8
             })
             .collect();
-        let raw = encode_block_envelope(CompressionType::Lz, &noise);
+        let raw = envelope(CompressionType::Lz, &noise);
         assert_eq!(raw[0], TAG_NONE, "codec must not inflate noise");
         assert_eq!(raw.len(), noise.len() + ENVELOPE_OVERHEAD);
         assert_eq!(
@@ -338,11 +385,11 @@ mod tests {
         let logical: Vec<u8> = (0..200u32)
             .flat_map(|i| format!("key-{i:05}:payload").into_bytes())
             .collect();
-        let good = encode_block_envelope(CompressionType::Lz, &logical);
+        let good = envelope(CompressionType::Lz, &logical);
         for byte in 0..good.len() {
-            let mut bad = good.clone();
+            let mut bad = good.to_vec();
             bad[byte] ^= 0x10;
-            match decode_block_envelope(&bad) {
+            match decode_block_envelope(&Bytes::from(bad)) {
                 Err(Error::Corruption { .. }) => {}
                 Ok(decoded) => panic!(
                     "flip at byte {byte} silently decoded ({} bytes)",
@@ -356,11 +403,11 @@ mod tests {
     #[test]
     fn truncated_envelopes_are_corruption_not_panics() {
         let logical = b"some block payload with enough bytes to compress nicely nicely";
-        let good = encode_block_envelope(CompressionType::Lz, logical);
+        let good = envelope(CompressionType::Lz, logical);
         for cut in 0..good.len() {
             assert!(
                 matches!(
-                    decode_block_envelope(&good[..cut]),
+                    decode_block_envelope(&good.slice(..cut)),
                     Err(Error::Corruption { .. })
                 ),
                 "truncation at {cut} must be corruption"

@@ -4,43 +4,64 @@
 //! `k` sorted sources, keeps only the newest version of each user key
 //! (largest sequence number), and can optionally drop tombstones when the
 //! merge produces the final table of a major compaction.
+//!
+//! Sources are pulled lazily, one entry at a time, so a merge over
+//! sstables holds one decoded block per input rather than every input's
+//! entries.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::cmp::{Ordering, Reverse};
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
-use crate::types::{Entry, InternalKey, RangeTombstone, SeqNo};
+use crate::types::{Entry, RangeTombstone, SeqNo};
+use crate::Error;
 
 /// An entry tagged with the index of the source it came from, ordered so
-/// the binary heap pops the smallest internal key first and, on ties,
-/// prefers the newer source (higher source index = more recent sstable).
-#[derive(Debug, PartialEq, Eq)]
+/// the binary heap pops the smallest internal key first (user key
+/// ascending, newest version first — the
+/// [`InternalKey`](crate::InternalKey) order) and, on ties, prefers the
+/// newer source (higher source index = more recent sstable).
+#[derive(Debug)]
 struct HeapItem {
-    key: InternalKey,
-    source: usize,
     entry: Entry,
+    source: usize,
 }
 
 impl Ord for HeapItem {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key
-            .cmp(&other.key)
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.entry
+            .key
+            .cmp(&other.entry.key)
+            .then_with(|| other.entry.seqno.cmp(&self.entry.seqno))
+            .then_with(|| self.entry.kind.cmp(&other.entry.kind))
             .then_with(|| other.source.cmp(&self.source))
     }
 }
 
 impl PartialOrd for HeapItem {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
+impl PartialEq for HeapItem {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for HeapItem {}
+
 /// Merges multiple sorted entry streams, de-duplicating by user key.
 ///
-/// Sources must each be sorted by internal key (user key ascending,
-/// newest first), which is how memtables and sstables naturally iterate.
-/// When two sources contain the same user key with the same sequence
-/// number (possible when replaying mixed memtable/WAL sources), the source
-/// with the larger index wins; callers list sources oldest-to-newest.
+/// Each source is any iterator of `Result<Entry, Error>` — an
+/// [`SstableIter`](crate::SstableIter) decoding its table block by
+/// block, or `entries.into_iter().map(Ok)` over a vector — sorted by
+/// internal key (user key ascending, newest first), which is how
+/// memtables and sstables naturally iterate. When two sources contain
+/// the same user key with the same sequence number (the same version
+/// present in two inputs), the source with the larger index wins;
+/// callers list sources oldest-to-newest. A source error is yielded
+/// once and ends the merge.
 ///
 /// # Examples
 ///
@@ -50,14 +71,19 @@ impl PartialOrd for HeapItem {
 ///
 /// let old = vec![Entry::put(Bytes::from_static(b"a"), Bytes::from_static(b"1"), 1)];
 /// let new = vec![Entry::put(Bytes::from_static(b"a"), Bytes::from_static(b"2"), 5)];
-/// let merged: Vec<Entry> = MergingIter::new(vec![old, new], false).collect();
+/// let sources = vec![old.into_iter().map(Ok), new.into_iter().map(Ok)];
+/// let merged: Vec<Entry> = MergingIter::new(sources, false)
+///     .collect::<Result<_, _>>()
+///     .unwrap();
 /// assert_eq!(merged.len(), 1);
 /// assert_eq!(merged[0].value.as_ref(), b"2");
 /// ```
 #[derive(Debug)]
-pub struct MergingIter {
+pub struct MergingIter<S> {
     heap: BinaryHeap<Reverse<HeapItem>>,
-    sources: Vec<std::vec::IntoIter<Entry>>,
+    sources: Vec<S>,
+    /// A source's error, yielded by the next call to `next`.
+    error: Option<Error>,
     drop_tombstones: bool,
     /// Smallest pinned sequence number (`u64::MAX` with no pins, which
     /// collapses history to the newest version — the classic behavior).
@@ -74,7 +100,7 @@ pub struct MergingIter {
     last_emitted_seqno: Option<SeqNo>,
 }
 
-impl MergingIter {
+impl<S: Iterator<Item = Result<Entry, Error>>> MergingIter<S> {
     /// Creates a merging iterator over `sources` (each already sorted).
     /// When `drop_tombstones` is true, tombstone versions are swallowed —
     /// appropriate only for a merge that produces the single final table
@@ -82,7 +108,7 @@ impl MergingIter {
     /// per key; use [`MergingIter::with_visibility`] when snapshots are
     /// pinned or range tombstones apply.
     #[must_use]
-    pub fn new(sources: Vec<Vec<Entry>>, drop_tombstones: bool) -> Self {
+    pub fn new(sources: Vec<S>, drop_tombstones: bool) -> Self {
         Self::with_visibility(sources, drop_tombstones, SeqNo::MAX, Vec::new())
     }
 
@@ -95,26 +121,24 @@ impl MergingIter {
     /// floor deletes its key (and all older versions) from the output.
     #[must_use]
     pub fn with_visibility(
-        sources: Vec<Vec<Entry>>,
+        mut sources: Vec<S>,
         drop_tombstones: bool,
         retain_floor: SeqNo,
         range_dels: Vec<RangeTombstone>,
     ) -> Self {
-        let mut iters: Vec<std::vec::IntoIter<Entry>> =
-            sources.into_iter().map(Vec::into_iter).collect();
-        let mut heap = BinaryHeap::new();
-        for (idx, iter) in iters.iter_mut().enumerate() {
-            if let Some(entry) = iter.next() {
-                heap.push(Reverse(HeapItem {
-                    key: entry.internal_key(),
-                    source: idx,
-                    entry,
-                }));
+        let mut heap = BinaryHeap::with_capacity(sources.len());
+        let mut error = None;
+        for (source, iter) in sources.iter_mut().enumerate() {
+            match iter.next() {
+                Some(Ok(entry)) => heap.push(Reverse(HeapItem { entry, source })),
+                Some(Err(e)) => error = error.or(Some(e)),
+                None => {}
             }
         }
         Self {
             heap,
-            sources: iters,
+            sources,
+            error,
             drop_tombstones,
             retain_floor,
             range_dels,
@@ -124,34 +148,46 @@ impl MergingIter {
         }
     }
 
-    fn advance_source(&mut self, source: usize) {
-        if let Some(entry) = self.sources[source].next() {
-            self.heap.push(Reverse(HeapItem {
-                key: entry.internal_key(),
-                source,
-                entry,
-            }));
+    /// Takes the smallest entry, refilling the heap from its source in
+    /// place (one sift instead of a pop and a push).
+    fn pop(&mut self) -> Option<Entry> {
+        let mut top = self.heap.peek_mut()?;
+        let source = top.0.source;
+        match self.sources[source].next() {
+            Some(Ok(entry)) => {
+                Some(std::mem::replace(&mut top.0, HeapItem { entry, source }).entry)
+            }
+            next => {
+                if let Some(Err(e)) = next {
+                    self.error = Some(e);
+                }
+                Some(PeekMut::pop(top).0.entry)
+            }
         }
     }
 }
 
-impl Iterator for MergingIter {
-    type Item = Entry;
+impl<S: Iterator<Item = Result<Entry, Error>>> Iterator for MergingIter<S> {
+    type Item = Result<Entry, Error>;
 
-    fn next(&mut self) -> Option<Entry> {
-        while let Some(Reverse(item)) = self.heap.pop() {
-            self.advance_source(item.source);
+    fn next(&mut self) -> Option<Result<Entry, Error>> {
+        loop {
+            if let Some(e) = self.error.take() {
+                self.heap.clear();
+                return Some(Err(e));
+            }
+            let entry = self.pop()?;
             if self
                 .current_key
                 .as_ref()
-                .is_none_or(|last| *last != item.entry.key)
+                .is_none_or(|last| *last != entry.key)
             {
-                self.current_key = Some(item.entry.key.clone());
+                self.current_key = Some(entry.key.clone());
                 self.key_done = false;
                 self.last_emitted_seqno = None;
             } else if self.key_done {
                 continue; // an older version no possible reader can see
-            } else if self.last_emitted_seqno == Some(item.entry.seqno) {
+            } else if self.last_emitted_seqno == Some(entry.seqno) {
                 continue; // the same version supplied by two sources
             }
             // A range tombstone at or below the floor shadows this
@@ -160,7 +196,7 @@ impl Iterator for MergingIter {
             if self
                 .range_dels
                 .iter()
-                .any(|rd| rd.seqno <= self.retain_floor && rd.shadows(&item.entry.key, item.entry.seqno))
+                .any(|rd| rd.seqno <= self.retain_floor && rd.shadows(&entry.key, entry.seqno))
             {
                 self.key_done = true;
                 continue;
@@ -168,23 +204,19 @@ impl Iterator for MergingIter {
             // On a final merge, a point tombstone at or below the floor
             // deletes the key outright: every older version is among the
             // inputs, so nothing can resurrect.
-            if self.drop_tombstones
-                && item.entry.is_tombstone()
-                && item.entry.seqno <= self.retain_floor
-            {
+            if self.drop_tombstones && entry.is_tombstone() && entry.seqno <= self.retain_floor {
                 self.key_done = true;
                 continue;
             }
             // Retention: keep versions newest-first until one at or
             // below the floor has been kept; everything older is
             // unobservable by any pin.
-            if item.entry.seqno <= self.retain_floor {
+            if entry.seqno <= self.retain_floor {
                 self.key_done = true;
             }
-            self.last_emitted_seqno = Some(item.entry.seqno);
-            return Some(item.entry);
+            self.last_emitted_seqno = Some(entry.seqno);
+            return Some(Ok(entry));
         }
-        None
     }
 }
 
@@ -198,11 +230,33 @@ mod tests {
         Entry::put(key_from_u64(key), Bytes::from(val.to_owned()), seq)
     }
 
+    fn sources(inputs: Vec<Vec<Entry>>) -> Vec<impl Iterator<Item = Result<Entry, Error>>> {
+        inputs.into_iter().map(|v| v.into_iter().map(Ok)).collect()
+    }
+
+    fn merge(inputs: Vec<Vec<Entry>>, drop_tombstones: bool) -> Vec<Entry> {
+        MergingIter::new(sources(inputs), drop_tombstones)
+            .collect::<Result<_, _>>()
+            .unwrap()
+    }
+
+    fn merge_visible(
+        inputs: Vec<Vec<Entry>>,
+        drop_tombstones: bool,
+        floor: SeqNo,
+        range_dels: Vec<RangeTombstone>,
+    ) -> Vec<Entry> {
+        MergingIter::with_visibility(sources(inputs), drop_tombstones, floor, range_dels)
+            .collect::<Result<_, _>>()
+            .unwrap()
+    }
+
     #[test]
     fn merges_disjoint_sources_in_key_order() {
         let a = vec![put(1, "a", 1), put(3, "c", 1), put(5, "e", 1)];
         let b = vec![put(2, "b", 2), put(4, "d", 2)];
-        let merged: Vec<u64> = MergingIter::new(vec![a, b], false)
+        let merged: Vec<u64> = merge(vec![a, b], false)
+            .into_iter()
             .map(|e| key_to_u64(&e.key).unwrap())
             .collect();
         assert_eq!(merged, vec![1, 2, 3, 4, 5]);
@@ -212,7 +266,7 @@ mod tests {
     fn newest_version_wins() {
         let old = vec![put(1, "old", 1), put(2, "keep", 1)];
         let new = vec![put(1, "new", 9)];
-        let merged: Vec<Entry> = MergingIter::new(vec![old, new], false).collect();
+        let merged: Vec<Entry> = merge(vec![old, new], false);
         assert_eq!(merged.len(), 2);
         assert_eq!(merged[0].value.as_ref(), b"new");
         assert_eq!(merged[1].value.as_ref(), b"keep");
@@ -223,11 +277,11 @@ mod tests {
         let base = vec![put(1, "v", 1), put(2, "w", 1)];
         let newer = vec![Entry::tombstone(key_from_u64(1), 5)];
 
-        let kept: Vec<Entry> = MergingIter::new(vec![base.clone(), newer.clone()], false).collect();
+        let kept: Vec<Entry> = merge(vec![base.clone(), newer.clone()], false);
         assert_eq!(kept.len(), 2);
         assert!(kept[0].is_tombstone());
 
-        let dropped: Vec<Entry> = MergingIter::new(vec![base, newer], true).collect();
+        let dropped: Vec<Entry> = merge(vec![base, newer], true);
         assert_eq!(dropped.len(), 1);
         assert_eq!(key_to_u64(&dropped[0].key), Some(2));
     }
@@ -238,7 +292,7 @@ mod tests {
         // the key must vanish entirely, not resurrect the old value.
         let old = vec![put(1, "zombie", 1)];
         let newer = vec![Entry::tombstone(key_from_u64(1), 2)];
-        let merged: Vec<Entry> = MergingIter::new(vec![old, newer], true).collect();
+        let merged: Vec<Entry> = merge(vec![old, newer], true);
         assert!(merged.is_empty());
     }
 
@@ -246,15 +300,15 @@ mod tests {
     fn equal_seqno_prefers_later_source() {
         let s0 = vec![put(1, "from-source-0", 7)];
         let s1 = vec![put(1, "from-source-1", 7)];
-        let merged: Vec<Entry> = MergingIter::new(vec![s0, s1], false).collect();
+        let merged: Vec<Entry> = merge(vec![s0, s1], false);
         assert_eq!(merged.len(), 1);
         assert_eq!(merged[0].value.as_ref(), b"from-source-1");
     }
 
     #[test]
     fn empty_sources_and_no_sources() {
-        assert_eq!(MergingIter::new(vec![], false).count(), 0);
-        assert_eq!(MergingIter::new(vec![vec![], vec![]], false).count(), 0);
+        assert_eq!(merge(vec![], false).len(), 0);
+        assert_eq!(merge(vec![vec![], vec![]], false).len(), 0);
     }
 
     #[test]
@@ -269,27 +323,38 @@ mod tests {
             put(1, "v3", 3),
             put(1, "v1", 1),
         ]];
-        let merged: Vec<u64> = MergingIter::with_visibility(src, false, 5, Vec::new())
+        let merged: Vec<u64> = merge_visible(src, false, 5, Vec::new())
+            .into_iter()
             .map(|e| e.seqno)
             .collect();
-        assert_eq!(merged, vec![9, 6, 3], "3 is the newest version a pin at 5 sees");
+        assert_eq!(
+            merged,
+            vec![9, 6, 3],
+            "3 is the newest version a pin at 5 sees"
+        );
     }
 
     #[test]
     fn range_del_below_floor_drops_covered_versions() {
         let rd = RangeTombstone::new(key_from_u64(0), key_from_u64(10), 5);
         let src = vec![vec![put(1, "new", 8), put(1, "old", 2), put(20, "out", 2)]];
-        let merged: Vec<Entry> =
-            MergingIter::with_visibility(src, false, SeqNo::MAX, vec![rd.clone()]).collect();
+        let merged: Vec<Entry> = merge_visible(src, false, SeqNo::MAX, vec![rd.clone()]);
         assert_eq!(merged.len(), 2);
-        assert_eq!(merged[0].seqno, 8, "version newer than the range del survives");
+        assert_eq!(
+            merged[0].seqno, 8,
+            "version newer than the range del survives"
+        );
         assert_eq!(key_to_u64(&merged[1].key), Some(20), "outside the interval");
 
         // With the floor below the range del's seqno, nothing may drop:
         // a pin between the two could still read the old version.
         let src = vec![vec![put(1, "new", 8), put(1, "old", 2)]];
-        let merged: Vec<Entry> = MergingIter::with_visibility(src, false, 3, vec![rd]).collect();
-        assert_eq!(merged.len(), 2, "floor 3 < rd seqno 5: covered version retained");
+        let merged: Vec<Entry> = merge_visible(src, false, 3, vec![rd]);
+        assert_eq!(
+            merged.len(),
+            2,
+            "floor 3 < rd seqno 5: covered version retained"
+        );
     }
 
     #[test]
@@ -298,7 +363,7 @@ mod tests {
             Entry::tombstone(key_from_u64(1), 8),
             put(1, "pinned", 4),
         ]];
-        let merged: Vec<Entry> = MergingIter::with_visibility(src, true, 5, Vec::new()).collect();
+        let merged: Vec<Entry> = merge_visible(src, true, 5, Vec::new());
         assert_eq!(merged.len(), 2, "pin at 5 still reads seqno-4 value");
         assert!(merged[0].is_tombstone());
 
@@ -307,8 +372,7 @@ mod tests {
             Entry::tombstone(key_from_u64(1), 8),
             put(1, "dead", 4),
         ]];
-        let merged: Vec<Entry> =
-            MergingIter::with_visibility(src, true, SeqNo::MAX, Vec::new()).collect();
+        let merged: Vec<Entry> = merge_visible(src, true, SeqNo::MAX, Vec::new());
         assert!(merged.is_empty());
     }
 
@@ -316,10 +380,28 @@ mod tests {
     fn duplicate_version_from_two_sources_emits_once() {
         let s0 = vec![put(1, "copy", 7), put(1, "older", 2)];
         let s1 = vec![put(1, "copy", 7)];
-        let merged: Vec<Entry> =
-            MergingIter::with_visibility(vec![s0, s1], false, 0, Vec::new()).collect();
+        let merged: Vec<Entry> = merge_visible(vec![s0, s1], false, 0, Vec::new());
         let seqnos: Vec<u64> = merged.iter().map(|e| e.seqno).collect();
         assert_eq!(seqnos, vec![7, 2]);
+    }
+
+    #[test]
+    fn source_error_is_yielded_once_and_ends_the_merge() {
+        let good = vec![Ok(put(1, "a", 1)), Ok(put(4, "d", 1))];
+        let bad = vec![
+            Ok(put(2, "b", 2)),
+            Err(Error::corruption("rotten block")),
+            Ok(put(3, "c", 2)),
+        ];
+        let mut merged = MergingIter::new(vec![good.into_iter(), bad.into_iter()], false);
+        assert_eq!(
+            merged.next().unwrap().unwrap().seqno,
+            1,
+            "key 1 precedes the failure"
+        );
+        assert_eq!(key_to_u64(&merged.next().unwrap().unwrap().key), Some(2));
+        assert!(matches!(merged.next(), Some(Err(Error::Corruption { .. }))));
+        assert!(merged.next().is_none(), "nothing after the error");
     }
 
     #[test]
@@ -331,7 +413,7 @@ mod tests {
             let entries: Vec<Entry> = (0..100).map(|k| put(k, &format!("s{s}"), s + 1)).collect();
             sources.push(entries);
         }
-        let merged: Vec<Entry> = MergingIter::new(sources, false).collect();
+        let merged: Vec<Entry> = merge(sources, false);
         assert_eq!(merged.len(), 100);
         assert!(merged.windows(2).all(|w| w[0].key < w[1].key));
         assert!(merged.iter().all(|e| e.value.as_ref() == b"s15"));

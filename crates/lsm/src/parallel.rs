@@ -30,7 +30,7 @@ use crate::options::LsmOptions;
 use crate::planner::observed_key;
 use crate::sstable::{Sstable, SstableBuilder};
 use crate::storage::Storage;
-use crate::types::{Entry, RangeTombstone, SeqNo};
+use crate::types::{RangeTombstone, SeqNo};
 use crate::Error;
 
 /// What one merge step produced, reported back from a worker.
@@ -370,9 +370,9 @@ impl ParallelExecutor {
     }
 
     /// Phase 2 — the heavy I/O: run every merge step, wave-parallel, with
-    /// **no lock required**. On success every output run (and its
-    /// key-observation sidecar) is durable in storage; the manifest is
-    /// untouched either way.
+    /// **no lock required**. On success every output run (and, for the
+    /// outputs that survive the schedule, its key-observation sidecar)
+    /// is durable in storage; the manifest is untouched either way.
     ///
     /// # Errors
     ///
@@ -397,10 +397,15 @@ impl ParallelExecutor {
                                 let output_id = prepared.output_ids[step_idx];
                                 let drop_tombstones =
                                     step_idx + 1 == steps.len() && self.options.drops_tombstones();
+                                let survives = prepared.surviving_outputs.contains(&step_idx);
                                 scope.spawn(move || {
                                     let started = Instant::now();
-                                    let result =
-                                        self.merge_step(input_ids, output_id, drop_tombstones);
+                                    let result = self.merge_step(
+                                        input_ids,
+                                        output_id,
+                                        drop_tombstones,
+                                        survives,
+                                    );
                                     if let Some(timer) = &self.step_timer {
                                         timer.record_duration(started.elapsed());
                                     }
@@ -421,8 +426,10 @@ impl ParallelExecutor {
                     match result {
                         Ok(step_result) => {
                             written_blobs.push(Sstable::blob_name(step_result.output_id));
-                            written_blobs
-                                .push(TableKeyObservation::blob_name(step_result.output_id));
+                            if prepared.surviving_outputs.contains(&step_idx) {
+                                written_blobs
+                                    .push(TableKeyObservation::blob_name(step_result.output_id));
+                            }
                             results[step_idx] = Some(step_result);
                         }
                         Err(e) => {
@@ -506,10 +513,12 @@ impl ParallelExecutor {
         Ok(outcome)
     }
 
-    /// Phase 4 — delete the consumed input blobs and non-surviving
-    /// intermediates (tables and key-observation sidecars alike). Only
-    /// safe after [`ParallelExecutor::commit`]: readers migrated to the
-    /// new table set at the flip. Needs no lock.
+    /// Phase 4 — delete the consumed input blobs (tables and their
+    /// key-observation sidecars) and the non-surviving intermediate
+    /// tables, which never get a sidecar. Only safe after
+    /// [`ParallelExecutor::commit`]: readers migrated to the new table
+    /// set at the flip. Needs no lock; deleting an absent blob is a
+    /// no-op, so a retried retire is harmless.
     ///
     /// # Errors
     ///
@@ -523,31 +532,34 @@ impl ParallelExecutor {
             if !merged.surviving_outputs.contains(&step_idx) {
                 self.storage
                     .delete_blob(&Sstable::blob_name(result.output_id))?;
-                TableKeyObservation::delete(self.storage.as_ref(), result.output_id)?;
             }
         }
         Ok(())
     }
 
-    /// One worker merge: read the input runs, merge-sort them with
-    /// newest-wins semantics, write the output run under `output_id`.
+    /// One worker merge: stream the input runs through a k-way merge
+    /// with newest-wins semantics into the output run `output_id`. Each
+    /// input holds one decoded block at a time. Only an output that
+    /// `survives` the schedule gets a key-observation sidecar: an
+    /// intermediate is consumed by a later step and deleted unread.
     fn merge_step(
         &self,
         input_ids: &[u64],
         output_id: u64,
         drop_tombstones: bool,
+        survives: bool,
     ) -> Result<StepResult, Error> {
-        let mut sources: Vec<Vec<Entry>> = Vec::with_capacity(input_ids.len());
+        let tables = input_ids
+            .iter()
+            .map(|&id| Sstable::load(self.storage.as_ref(), id))
+            .collect::<Result<Vec<_>, _>>()?;
         let mut range_dels: Vec<RangeTombstone> = Vec::new();
         let mut entries_read = 0u64;
         let mut bytes_read = 0u64;
-        for &id in input_ids {
-            let table = Sstable::load(self.storage.as_ref(), id)?;
+        for table in &tables {
             bytes_read += table.encoded_len();
             entries_read += table.entry_count();
             range_dels.extend_from_slice(table.range_dels());
-            let entries: Result<Vec<Entry>, Error> = table.iter().collect();
-            sources.push(entries?);
         }
         // Deterministic output order regardless of which input held each
         // tombstone: start asc, then newest first.
@@ -557,40 +569,44 @@ impl ParallelExecutor {
                 .then(b.seqno.cmp(&a.seqno))
                 .then(a.end.cmp(&b.end))
         });
-        let merged = MergingIter::with_visibility(
-            sources,
-            drop_tombstones,
-            self.retain_floor,
-            range_dels.clone(),
-        );
         let mut builder = SstableBuilder::new(
             output_id,
             self.options.block_size_bytes(),
             self.options.bloom_bits(),
         )
         .compression(self.options.compression_type());
-        let mut observed = Vec::new();
-        for entry in merged {
-            observed.push(observed_key(&entry.key));
-            builder.add(&entry);
-        }
         // Range tombstones ride along into the output so they keep
         // shadowing older tables outside this merge; a final-step merge
         // may retire those at or below the floor — everything they could
         // ever delete was merged here, and no pinned snapshot can still
         // observe a version they shadow.
-        for rd in range_dels {
-            if drop_tombstones && rd.seqno <= self.retain_floor {
-                continue;
+        for rd in &range_dels {
+            if !(drop_tombstones && rd.seqno <= self.retain_floor) {
+                builder.add_range_del(rd.clone());
             }
-            builder.add_range_del(rd);
+        }
+        let merged = MergingIter::with_visibility(
+            tables.iter().map(Sstable::iter).collect(),
+            drop_tombstones,
+            self.retain_floor,
+            range_dels,
+        );
+        let mut observed = Vec::new();
+        for entry in merged {
+            let entry = entry?;
+            if survives {
+                observed.push(observed_key(&entry.key));
+            }
+            builder.add(&entry);
         }
         let (data, meta) = builder.finish();
         self.storage
             .write_blob(&Sstable::blob_name(output_id), &data)?;
-        // Sidecar written with the output: future plans over this table
-        // read the observation, not the table.
-        TableKeyObservation::new(output_id, observed).persist(self.storage.as_ref())?;
+        if survives {
+            // Sidecar written with the output: future plans over this
+            // table read the observation, not the table.
+            TableKeyObservation::new(output_id, observed).persist(self.storage.as_ref())?;
+        }
         Ok(StepResult {
             output_id,
             entry_count: meta.entry_count,
@@ -608,7 +624,7 @@ impl ParallelExecutor {
 mod tests {
     use super::*;
     use crate::storage::MemoryStorage;
-    use crate::types::key_from_u64;
+    use crate::types::{key_from_u64, Entry};
     use bytes::Bytes;
 
     fn make_table(storage: &dyn Storage, manifest: &mut Manifest, keys: &[u64], seq: u64) -> u64 {
@@ -706,6 +722,45 @@ mod tests {
             assert_eq!(outcome.entries_read, 23);
             assert_eq!(outcome.entries_written, 17);
         }
+    }
+
+    #[test]
+    fn only_surviving_outputs_get_a_sidecar() {
+        let (storage, mut manifest, exec) = setup(2);
+        let ids: Vec<u64> = (0..4)
+            .map(|i| make_table(storage.as_ref(), &mut manifest, &[i, i + 1], i + 1))
+            .collect();
+        let steps = vec![
+            CompactionStep::new(vec![0, 1]),
+            CompactionStep::new(vec![2, 3]),
+            CompactionStep::new(vec![4, 5]),
+        ];
+        let prepared = exec.prepare(&mut manifest, &ids, &steps, None).unwrap();
+        let merged = exec.merge_prepared(&prepared).unwrap();
+        let sidecars = || -> Vec<u64> {
+            merged
+                .results
+                .iter()
+                .map(|r| r.output_id)
+                .filter(|&id| storage.contains_blob(&TableKeyObservation::blob_name(id)))
+                .collect()
+        };
+        // Before the flip: all three outputs exist, only the final one
+        // (the schedule's sole survivor) has a sidecar.
+        let final_id = prepared.output_ids[2];
+        assert_eq!(sidecars(), vec![final_id]);
+        ParallelExecutor::commit(&mut manifest, &merged, storage.as_ref(), |_| {}).unwrap();
+        exec.retire_consumed(&merged).unwrap();
+        exec.retire_consumed(&merged).unwrap();
+        assert_eq!(sidecars(), vec![final_id], "retire is idempotent");
+        let observation = TableKeyObservation::load(storage.as_ref(), final_id)
+            .unwrap()
+            .expect("survivor's sidecar");
+        assert_eq!(observation, {
+            let table = Sstable::load(storage.as_ref(), final_id).unwrap();
+            let keys = table.iter().map(|e| observed_key(&e.unwrap().key));
+            TableKeyObservation::new(final_id, keys.collect())
+        });
     }
 
     #[test]

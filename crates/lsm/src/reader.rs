@@ -401,7 +401,7 @@ impl SstableReader {
     /// not its (possibly compressed) stored length.
     fn decode_stored_block(
         &self,
-        raw: &[u8],
+        raw: &Bytes,
         idx: usize,
         ctx: ReadContext<'_>,
     ) -> Result<Arc<Block>, Error> {
@@ -568,11 +568,18 @@ impl BlockCursor {
         let rel_end = rel_start
             .checked_add(len as usize)
             .ok_or_else(|| Error::corruption("block range overflows"))?;
-        let raw = span
-            .raw
-            .get(rel_start..rel_end)
-            .ok_or_else(|| Error::corruption("block range past end of span"))?;
-        reader.decode_stored_block(raw, idx, ctx)
+        if rel_end > span.raw.len() {
+            return Err(Error::corruption("block range past end of span"));
+        }
+        // A decoded block views the bytes it was decoded from; a cached
+        // one must not pin the rest of the readahead span, so it gets
+        // its own copy.
+        let raw = if ctx.fill_cache {
+            Bytes::copy_from_slice(&span.raw[rel_start..rel_end])
+        } else {
+            span.raw.slice(rel_start..rel_end)
+        };
+        reader.decode_stored_block(&raw, idx, ctx)
     }
 
     /// Fetches blocks `[block_idx, block_idx + readahead)` (clamped to

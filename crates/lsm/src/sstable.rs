@@ -29,10 +29,10 @@
 //! reads whole tables and writes a new one, which is exactly the I/O the
 //! paper's cost function charges for.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 
 use crate::block::{crc32, Block, BlockBuilder};
-use crate::bloom::BloomFilter;
+use crate::bloom::{key_hash, BloomFilter};
 use crate::compress::{decode_block_envelope, encode_block_envelope, CompressionType};
 use crate::storage::Storage;
 use crate::types::{Entry, Key, RangeTombstone};
@@ -148,7 +148,7 @@ impl Footer {
 /// bytes raw. Returns the block and its logical (decompressed) byte
 /// length, which the read-path counters report next to the physical
 /// bytes actually fetched.
-pub(crate) fn decode_table_block(raw: &[u8], enveloped: bool) -> Result<(Block, usize), Error> {
+pub(crate) fn decode_table_block(raw: &Bytes, enveloped: bool) -> Result<(Block, usize), Error> {
     if enveloped {
         let logical = decode_block_envelope(raw)?;
         Ok((Block::decode(&logical)?, logical.len()))
@@ -159,7 +159,7 @@ pub(crate) fn decode_table_block(raw: &[u8], enveloped: bool) -> Result<(Block, 
 
 /// Encodes the range-tombstone section: count, per-record bounds +
 /// seqno, and a section CRC.
-pub(crate) fn encode_range_dels(buf: &mut BytesMut, range_dels: &[RangeTombstone]) {
+pub(crate) fn encode_range_dels(buf: &mut Vec<u8>, range_dels: &[RangeTombstone]) {
     let start = buf.len();
     buf.put_u32_le(range_dels.len() as u32);
     for rd in range_dels {
@@ -183,7 +183,9 @@ pub(crate) fn decode_range_dels(section: &[u8]) -> Result<Vec<RangeTombstone>, E
     let (payload, crc_bytes) = section.split_at(section.len() - 4);
     let stored = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
     if crc32(payload) != stored {
-        return Err(Error::corruption("range-tombstone section checksum mismatch"));
+        return Err(Error::corruption(
+            "range-tombstone section checksum mismatch",
+        ));
     }
     let mut cursor = payload;
     let count = cursor.get_u32_le();
@@ -201,6 +203,10 @@ pub(crate) fn decode_range_dels(section: &[u8]) -> Result<Vec<RangeTombstone>, E
 }
 
 /// Builds an sstable from entries supplied in internal-key order.
+///
+/// Each data block is compressed into the output buffer as soon as it
+/// fills, and bloom keys are kept as hashes, so the builder holds the
+/// encoded table plus one open block — never the entries it was fed.
 #[derive(Debug)]
 pub struct SstableBuilder {
     table_id: u64,
@@ -208,14 +214,16 @@ pub struct SstableBuilder {
     bloom_bits_per_key: usize,
     compression: CompressionType,
     current: BlockBuilder,
-    finished_blocks: Vec<(Key, Bytes)>,
-    all_keys: Vec<Key>,
+    /// The encoded table so far: finished data blocks, enveloped.
+    buf: Vec<u8>,
+    /// (last_key, offset, stored_len) per finished data block.
+    index: Vec<(Key, u64, u64)>,
+    key_hashes: Vec<u64>,
     range_dels: Vec<RangeTombstone>,
     entry_count: u64,
     tombstone_count: u64,
     max_seqno: u64,
     min_key: Option<Key>,
-    max_key: Option<Key>,
 }
 
 impl SstableBuilder {
@@ -228,14 +236,14 @@ impl SstableBuilder {
             bloom_bits_per_key,
             compression: CompressionType::default(),
             current: BlockBuilder::new(),
-            finished_blocks: Vec::new(),
-            all_keys: Vec::new(),
+            buf: Vec::new(),
+            index: Vec::new(),
+            key_hashes: Vec::new(),
             range_dels: Vec::new(),
             entry_count: 0,
             tombstone_count: 0,
             max_seqno: 0,
             min_key: None,
-            max_key: None,
         }
     }
 
@@ -246,15 +254,19 @@ impl SstableBuilder {
     /// visibility walk over a key's versions stays within one block.
     pub fn add(&mut self, entry: &Entry) {
         if self.current.size_in_bytes() >= self.block_size
-            && self.current.last_key().is_some_and(|last| *last != entry.key)
+            && self
+                .current
+                .last_key()
+                .is_some_and(|last| last != entry.key.as_ref())
         {
             self.rotate_block();
         }
         if self.min_key.is_none() {
-            self.min_key = Some(entry.key.clone());
+            // A copy, not a clone: `entry.key` may be a slice of a
+            // whole decoded input block.
+            self.min_key = Some(Bytes::copy_from_slice(&entry.key));
         }
-        self.max_key = Some(entry.key.clone());
-        self.all_keys.push(entry.key.clone());
+        self.key_hashes.push(key_hash(&entry.key));
         self.entry_count += 1;
         self.max_seqno = self.max_seqno.max(entry.seqno);
         if entry.is_tombstone() {
@@ -271,18 +283,23 @@ impl SstableBuilder {
         self.range_dels.push(rd);
     }
 
+    /// Closes the open block: envelopes it (compressing per
+    /// `compression`) straight into the output buffer and indexes it.
     fn rotate_block(&mut self) {
-        if self.current.is_empty() {
+        let Some(last_key) = self.current.last_key().map(Bytes::copy_from_slice) else {
             return;
-        }
-        let last_key = self.current.last_key().expect("non-empty block").clone();
-        let encoded = self.current.finish();
-        self.finished_blocks.push((last_key, encoded));
+        };
+        let offset = self.buf.len();
+        let (compression, buf) = (self.compression, &mut self.buf);
+        self.current
+            .finish_with(|encoded| encode_block_envelope(compression, encoded, buf));
+        self.index
+            .push((last_key, offset as u64, (self.buf.len() - offset) as u64));
     }
 
-    /// Sets the per-block compression applied at [`SstableBuilder::finish`]
-    /// time. Defaults to [`CompressionType::Lz`]; every block still
-    /// falls back to raw storage when compression would not shrink it.
+    /// Sets the per-block compression applied as each block closes.
+    /// Defaults to [`CompressionType::Lz`]; every block still falls
+    /// back to raw storage when compression would not shrink it.
     #[must_use]
     pub fn compression(mut self, compression: CompressionType) -> Self {
         self.compression = compression;
@@ -300,16 +317,14 @@ impl SstableBuilder {
     pub fn finish(mut self) -> (Bytes, SstableMeta) {
         self.rotate_block();
 
-        let bloom = BloomFilter::build(
-            self.all_keys.iter().map(|k| k.as_ref()),
-            self.bloom_bits_per_key,
-        );
+        let bloom = BloomFilter::from_key_hashes(&self.key_hashes, self.bloom_bits_per_key);
 
         // The table's key range must cover its range tombstones too, so
         // range pruning never skips a table whose only relevant content
-        // is an interval delete outside its point-key span.
+        // is an interval delete outside its point-key span. The last
+        // block's last key is the largest point key.
         let mut min_key = self.min_key;
-        let mut max_key = self.max_key;
+        let mut max_key = self.index.last().map(|(last, _, _)| last.clone());
         for rd in &self.range_dels {
             if min_key.as_ref().is_none_or(|m| rd.start < *m) {
                 min_key = Some(rd.start.clone());
@@ -319,15 +334,7 @@ impl SstableBuilder {
             }
         }
 
-        let mut buf = BytesMut::new();
-        let mut index: Vec<(Key, u64, u64)> = Vec::with_capacity(self.finished_blocks.len());
-        for (last_key, encoded) in &self.finished_blocks {
-            let offset = buf.len() as u64;
-            let stored = encode_block_envelope(self.compression, encoded);
-            buf.put_slice(&stored);
-            index.push((last_key.clone(), offset, stored.len() as u64));
-        }
-
+        let mut buf = self.buf;
         let bloom_offset = buf.len() as u64;
         let bloom_bytes = bloom.encode();
         buf.put_slice(&bloom_bytes);
@@ -343,8 +350,8 @@ impl SstableBuilder {
         encode_range_dels(&mut buf, &self.range_dels);
 
         let index_offset = buf.len() as u64;
-        buf.put_u32_le(index.len() as u32);
-        for (last_key, offset, len) in &index {
+        buf.put_u32_le(self.index.len() as u32);
+        for (last_key, offset, len) in &self.index {
             buf.put_u32_le(last_key.len() as u32);
             buf.put_slice(last_key);
             buf.put_u64_le(*offset);
@@ -374,7 +381,7 @@ impl SstableBuilder {
             min_key,
             max_key,
         };
-        (buf.freeze(), meta)
+        (Bytes::from(buf), meta)
     }
 }
 
@@ -409,7 +416,7 @@ pub struct SstableMeta {
 
 /// Encodes the min/max-key meta block: a presence flag followed by the
 /// two length-prefixed keys (absent for an empty table).
-pub(crate) fn encode_meta(buf: &mut BytesMut, min_key: Option<&Key>, max_key: Option<&Key>) {
+pub(crate) fn encode_meta(buf: &mut Vec<u8>, min_key: Option<&Key>, max_key: Option<&Key>) {
     match (min_key, max_key) {
         (Some(min), Some(max)) => {
             buf.put_u8(1);
@@ -454,15 +461,17 @@ fn decode_meta_key(cursor: &mut &[u8]) -> Result<Key, Error> {
 /// Slices a data block's byte range out of a fully-loaded table,
 /// surfacing a corrupt index entry (the footer CRC does not cover the
 /// index) as [`Error::Corruption`] instead of a slice panic.
-fn block_slice(data: &[u8], offset: u64, len: u64) -> Result<&[u8], Error> {
+fn block_slice(data: &Bytes, offset: u64, len: u64) -> Result<Bytes, Error> {
     let start =
         usize::try_from(offset).map_err(|_| Error::corruption("block offset overflows usize"))?;
     let end = len
         .checked_add(offset)
         .and_then(|end| usize::try_from(end).ok())
         .ok_or_else(|| Error::corruption("block range overflows"))?;
-    data.get(start..end)
-        .ok_or_else(|| Error::corruption("block range past end of table"))
+    if end > data.len() {
+        return Err(Error::corruption("block range past end of table"));
+    }
+    Ok(data.slice(start..end))
 }
 
 /// Decodes the block index: `(last_key, offset, len)` per data block.
@@ -555,7 +564,7 @@ impl Sstable {
             None => match index.first() {
                 Some(&(_, offset, len)) => {
                     let (block, _) = decode_table_block(
-                        block_slice(&data, offset, len)?,
+                        &block_slice(&data, offset, len)?,
                         footer.compressed_blocks,
                     )?;
                     let min = block
@@ -663,31 +672,31 @@ impl Sstable {
     fn read_block(&self, idx: usize) -> Result<Block, Error> {
         let (_, offset, len) = self.index[idx];
         let (block, _) = decode_table_block(
-            block_slice(&self.data, offset, len)?,
+            &block_slice(&self.data, offset, len)?,
             self.compressed_blocks,
         )?;
         Ok(block)
     }
 
-    /// Iterates every entry in the table in internal-key order.
+    /// Iterates every entry in the table in internal-key order, decoding
+    /// one block at a time.
     #[must_use]
     pub fn iter(&self) -> SstableIter<'_> {
         SstableIter {
             table: self,
             block_idx: 0,
-            entries: Vec::new(),
-            entry_idx: 0,
+            entries: Vec::new().into_iter(),
         }
     }
 }
 
-/// Iterator over all entries of an [`Sstable`] in key order.
+/// Iterator over all entries of an [`Sstable`] in key order. It holds
+/// one decoded block and hands its entries out by move.
 #[derive(Debug)]
 pub struct SstableIter<'a> {
     table: &'a Sstable,
     block_idx: usize,
-    entries: Vec<Entry>,
-    entry_idx: usize,
+    entries: std::vec::IntoIter<Entry>,
 }
 
 impl Iterator for SstableIter<'_> {
@@ -695,9 +704,7 @@ impl Iterator for SstableIter<'_> {
 
     fn next(&mut self) -> Option<Self::Item> {
         loop {
-            if self.entry_idx < self.entries.len() {
-                let entry = self.entries[self.entry_idx].clone();
-                self.entry_idx += 1;
+            if let Some(entry) = self.entries.next() {
                 return Some(Ok(entry));
             }
             if self.block_idx >= self.table.index.len() {
@@ -706,8 +713,7 @@ impl Iterator for SstableIter<'_> {
             match self.table.read_block(self.block_idx) {
                 Ok(block) => {
                     self.block_idx += 1;
-                    self.entries = block.into_entries();
-                    self.entry_idx = 0;
+                    self.entries = block.into_entries().into_iter();
                 }
                 Err(e) => {
                     self.block_idx = self.table.index.len();
@@ -926,10 +932,7 @@ mod tests {
             let block = table.read_block(idx).unwrap();
             let first = block.entries().first().unwrap().key.clone();
             if let Some(prev_last) = &seen_last {
-                assert_ne!(
-                    *prev_last, first,
-                    "user key split across adjacent blocks"
-                );
+                assert_ne!(*prev_last, first, "user key split across adjacent blocks");
             }
             seen_last = Some(block.entries().last().unwrap().key.clone());
         }

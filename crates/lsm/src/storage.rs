@@ -263,9 +263,9 @@ impl Storage for FileStorage {
     }
 
     fn read_blob(&self, name: &str) -> Result<Bytes, Error> {
-        let mut file = fs::File::open(self.path_for(name))?;
-        let mut buf = Vec::new();
-        file.read_to_end(&mut buf)?;
+        // `fs::read` sizes the buffer from the file length, and `Bytes`
+        // adopts it: the blob is copied once, from the kernel.
+        let buf = fs::read(self.path_for(name))?;
         self.read.fetch_add(buf.len() as u64, Ordering::Relaxed);
         Ok(Bytes::from(buf))
     }

@@ -11,15 +11,15 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes};
 
 use crate::block::{crc32, BlockBuilder};
 use crate::bloom::BloomFilter;
 use crate::compress::encode_block_envelope;
 use crate::sstable::{encode_meta, FOOTER_MAGIC_V1, FOOTER_MAGIC_V2, FOOTER_MAGIC_V3};
-use crate::CompressionType;
 use crate::storage::{MemoryStorage, Storage};
 use crate::types::{Entry, Key};
+use crate::CompressionType;
 use crate::Error;
 
 /// A [`MemoryStorage`] wrapper that can stall sstable writes on demand:
@@ -252,31 +252,28 @@ fn encode_legacy_sstable(entries: &[Entry], block_size: usize, version: u8) -> B
     for entry in entries {
         current.add(entry);
         if current.size_in_bytes() >= block_size {
-            let last = current.last_key().expect("non-empty block").clone();
+            let last = Bytes::copy_from_slice(current.last_key().expect("non-empty block"));
             finished.push((last, current.finish()));
         }
     }
     if !current.is_empty() {
-        let last = current.last_key().expect("non-empty block").clone();
+        let last = Bytes::copy_from_slice(current.last_key().expect("non-empty block"));
         finished.push((last, current.finish()));
     }
     let bloom = BloomFilter::build(entries.iter().map(|e| e.key.as_ref()), 10);
 
-    let mut buf = BytesMut::new();
+    let mut buf = Vec::new();
     let mut index: Vec<(Key, u64, u64)> = Vec::new();
     for (last_key, encoded) in &finished {
-        let offset = buf.len() as u64;
+        let offset = buf.len();
         // v3 stores each block inside a compression envelope; the index
         // records the stored (enveloped) length.
-        let enveloped;
-        let stored: &[u8] = if version >= 3 {
-            enveloped = encode_block_envelope(CompressionType::Lz, encoded);
-            &enveloped
+        if version >= 3 {
+            encode_block_envelope(CompressionType::Lz, encoded, &mut buf);
         } else {
-            encoded
-        };
-        buf.put_slice(stored);
-        index.push((last_key.clone(), offset, stored.len() as u64));
+            buf.put_slice(encoded);
+        }
+        index.push((last_key.clone(), offset as u64, (buf.len() - offset) as u64));
     }
     let bloom_offset = buf.len() as u64;
     let bloom_bytes = bloom.encode();
@@ -310,7 +307,7 @@ fn encode_legacy_sstable(entries: &[Entry], block_size: usize, version: u8) -> B
     });
     let crc = crc32(&buf[footer_start..]);
     buf.put_u32_le(crc);
-    buf.freeze()
+    Bytes::from(buf)
 }
 
 /// A [`MemoryStorage`] wrapper that charges a fixed latency on every

@@ -548,6 +548,35 @@ pub fn live_engine_csv(rows: &[LiveEngineRow]) -> String {
     out
 }
 
+/// Renders the live-engine rows as a JSON array (hand-rolled: the
+/// workspace is offline, no serde). `merge_keys_per_sec` — entries read
+/// plus written per second of merge-step time — is the gated column:
+/// it tracks the compaction merge kernel, independent of how the
+/// strategies' costs compare.
+#[must_use]
+pub fn live_engine_json(rows: &[LiveEngineRow]) -> String {
+    let mut out = String::from("[\n");
+    for (i, row) in rows.iter().enumerate() {
+        out.push_str(&format!(
+            "  {{\"strategy\": \"{}\", \"flushes\": {}, \"auto_compactions\": {}, \
+             \"cost_actual\": {}, \"predicted_cost\": {}, \"sim_cost_actual\": {}, \
+             \"merge_busy_us\": {}, \"merge_keys_per_sec\": {:.1}, \"final_tables\": {}}}{}\n",
+            row.strategy.name(),
+            row.flushes,
+            row.auto_compactions,
+            row.cost_actual,
+            row.predicted_cost,
+            row.sim_cost_actual,
+            row.merge_busy_us,
+            row.merge_keys_per_sec(),
+            row.final_tables,
+            if i + 1 == rows.len() { "" } else { "," },
+        ));
+    }
+    out.push_str("]\n");
+    out
+}
+
 /// Renders the Figure 7 series (cost and time per strategy per update
 /// percentage) as a fixed-width text table.
 #[must_use]
